@@ -18,6 +18,7 @@ import contextlib
 import json
 import os
 import pathlib
+import sys
 import time
 
 import pytest
@@ -38,7 +39,7 @@ from repro.allocation.traces import (
 from repro.core import telemetry
 from repro.core.tables import render_table
 from repro.experiments import fig9_packing
-from repro.gsf.sizing import right_size
+from repro.gsf.sizing import SizingStats, right_size
 from repro.hardware.sku import baseline_gen3, greensku_full
 from repro.perf.apps import APPLICATIONS, get_app
 from repro.perf.autoscale import autoscale
@@ -49,6 +50,9 @@ from repro.allocation.store import TraceStore
 from repro.experiments import fig10_memutil
 
 from conftest import run_once
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.gsf.sizing_oracle import bisection_right_size  # noqa: E402
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
 GOLDEN_TRACE_PATH = (
@@ -355,8 +359,53 @@ def test_telemetry_overhead_and_manifest(save):
     )
 
 
+#: ~130 baseline servers once right-sized: the bisection oracle needs
+#: 16 replays here, so the one-pass gain shows in a smoke-sized run.
+ONE_PASS_TRACE_PARAMS = TraceParams(duration_days=3, mean_concurrent_vms=2000)
+
+
+def test_right_size_one_pass(save):
+    """One-pass ``right_size`` replays once and equals the bisection oracle."""
+    trace = generate_trace(seed=7, params=ONE_PASS_TRACE_PARAMS)
+    sku = baseline_gen3()
+
+    with telemetry.capture() as tel:
+        n_one_pass = right_size(trace, sku)
+    assert tel.counters["sizing.simulate_calls"] == 1
+    assert tel.counters["alloc.replays"] == 1
+    oracle_stats = SizingStats()
+    n_oracle = bisection_right_size(trace, sku, stats=oracle_stats)
+    assert n_one_pass == n_oracle
+
+    def best_of(fn, rounds=3):
+        timings = []
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            fn()
+            timings.append(time.perf_counter() - t0)
+        return min(timings), max(timings)
+
+    one_pass_s, one_pass_max = best_of(lambda: right_size(trace, sku))
+    oracle_s, oracle_max = best_of(lambda: bisection_right_size(trace, sku))
+    save(
+        "sizing_one_pass.txt",
+        f"right_size, {len(trace.vms)} VMs -> {n_one_pass} baseline servers "
+        f"(smoke, indexed engine, best of 3, worst in brackets)\n"
+        f"  bisection oracle: {oracle_s * 1000:.1f}ms "
+        f"[{oracle_max * 1000:.1f}ms], "
+        f"{oracle_stats.simulate_calls} replays\n"
+        f"  one pass:         {one_pass_s * 1000:.1f}ms "
+        f"[{one_pass_max * 1000:.1f}ms], 1 replay\n"
+        f"  speedup: {oracle_s / one_pass_s:.1f}x",
+    )
+
+
 def test_right_size_indexed_speedup(benchmark, save):
-    """The indexed engine right-sizes a 1k-server trace >= 5x faster."""
+    """The indexed engine right-sizes a 1k-server trace >= 5x faster.
+
+    Both sides run the one-pass search (one replay each), so this is the
+    per-replay engine speedup at ~1k servers.
+    """
     if not _reference_timing_enabled():
         pytest.skip("set REPRO_BENCH_REFERENCE=1 to time the reference scan")
     trace = generate_trace(seed=7, params=ENGINE_TRACE_PARAMS)

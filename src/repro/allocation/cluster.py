@@ -448,6 +448,16 @@ class _ReferenceBackend:
     def has_green(self) -> bool:
         return bool(self.green_pool)
 
+    def add_server(self, server: Server) -> None:
+        """Add a server above every current id (on-demand sizing pools)."""
+        self.servers.append(server)
+        pool = self.green_pool if server.is_green else self.base_pool
+        pool.append(server)
+        if not server.is_green:
+            self.base_by_gen.setdefault(server.sku.generation, []).append(
+                server
+            )
+
     def _baseline_pool(self, generation: int) -> List[Server]:
         if len(self.base_by_gen) > 1 and generation in self.base_by_gen:
             return self.base_by_gen[generation]

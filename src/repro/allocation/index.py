@@ -2,7 +2,7 @@
 
 The reference allocation path scans every server per placement decision
 and walks every server per density snapshot — O(n_servers) in the two
-hot operations that dominate Figs. 9–11 and every sizing bisection.
+hot operations that dominate Figs. 9–11 and every sizing replay.
 This module keeps the same decisions reachable in sublinear time:
 
 - :class:`_PoolIndex` groups the placeable servers of one pool view by
@@ -266,10 +266,11 @@ class PlacementEngine:
     baseline generation) one per baseline generation — plus exact
     snapshot aggregates per server kind when ``track_stats`` is on.
 
-    Servers can be added and removed while empty, which lets sizing
-    searches reuse one engine across a whole bracket/bisection by
-    applying count deltas instead of rebuilding the cluster per probe;
-    :meth:`reset` restores every touched server to its pristine state
+    Servers can be added at any time and removed while empty.  The
+    one-pass ``right_size`` opens servers mid-replay as the trace needs
+    them; the mixed sizing searches reuse one engine across their probes
+    by applying count deltas instead of rebuilding the cluster per probe,
+    and :meth:`reset` restores every touched server to its pristine state
     between probes.
     """
 

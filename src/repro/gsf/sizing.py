@@ -29,19 +29,21 @@ import numpy as np
 from ..allocation.cluster import (
     AdoptionPolicy,
     ClusterSpec,
+    _IndexedBackend,
+    _ReferenceBackend,
     adopt_nothing,
     replay_on_engine,
     resolve_engine,
     simulate,
 )
 from ..allocation.index import PlacementEngine
-from ..allocation.scheduler import Server
+from ..allocation.scheduler import BestFitScheduler, Server
 from ..allocation.traces import VmTrace
 from ..core import telemetry
 from ..core.errors import CapacityError, ConfigError, SizingError
 from ..hardware.sku import ServerSKU
 
-#: Hard cap on sizing searches; a trace needing more servers than this is
+#: Hard cap on sizing; a trace needing more servers than this is
 #: misconfigured for the simulator's scale.
 MAX_SERVERS = 20_000
 
@@ -67,12 +69,6 @@ class SizingStats:
     def merge(self, other: "SizingStats") -> None:
         self.simulate_calls += other.simulate_calls
         self.memo_hits += other.memo_hits
-
-    def summary(self) -> str:
-        return (
-            f"sizing: {self.probes} feasibility probes, "
-            f"{self.simulate_calls} simulated, {self.memo_hits} memo hits"
-        )
 
 
 _GLOBAL_SIZING_STATS = SizingStats()
@@ -152,13 +148,6 @@ class ClusterSizing:
         )
 
 
-def _feasible(
-    trace: VmTrace, cluster: ClusterSpec, adoption: AdoptionPolicy
-) -> bool:
-    outcome = simulate(trace, cluster, adoption=adoption, snapshot_hours=1e9)
-    return outcome.feasible
-
-
 class _EngineProber:
     """One reusable indexed engine for a whole sizing search.
 
@@ -229,124 +218,152 @@ class _EngineProber:
         return True
 
 
+def _prober(
+    trace: VmTrace, skus: Sequence[ServerSKU], adoption: AdoptionPolicy
+) -> Callable[..., bool]:
+    """Feasibility of ``trace`` on ``skus`` at given per-slot counts.
+
+    The reference engine rebuilds the cluster per probe; every other
+    engine name probes on one reused :class:`_EngineProber`.
+    """
+    if resolve_engine() != "reference":
+        return _EngineProber(trace, skus, adoption)
+
+    def probe(*counts: int) -> bool:
+        cluster = ClusterSpec(skus=tuple(zip(skus, counts)))
+        outcome = simulate(
+            trace, cluster, adoption=adoption, snapshot_hours=1e9
+        )
+        return outcome.feasible
+
+    return probe
+
+
+class _OnDemandPool:
+    """One-SKU placement backend that opens servers as the replay needs them.
+
+    Wraps a flat backend that starts with no servers.  When a choice finds
+    no open server able to host the VM, the pool opens the next server
+    (ids 0, 1, 2, ... in order) and asks again.  An empty server is the
+    most room a one-SKU pool can offer, so a VM that does not fit the
+    freshly opened server can never be placed: that raises
+    :class:`SizingError` naming it.  ``opened`` counts the servers opened
+    so far (see :func:`right_size` for why that is the minimum size).
+    """
+
+    def __init__(self, sku: ServerSKU, policy: str = "best-fit"):
+        if policy != "best-fit":
+            raise ConfigError(
+                f"one-pass sizing is exact only under best-fit, "
+                f"not {policy!r}"
+            )
+        if resolve_engine() == "reference":
+            backend = _ReferenceBackend([], BestFitScheduler(policy))
+            self._add_server = backend.add_server
+        else:
+            engine = PlacementEngine(policy=policy, track_stats=False)
+            backend = _IndexedBackend(engine)
+            self._add_server = engine.add_server
+        self._backend = backend
+        self.place = backend.place
+        self.remove = backend.remove
+        self.snapshot = backend.snapshot
+        self.telemetry_counters = backend.telemetry_counters
+        self._sku = sku
+        # From the SKU, not the server count: the pool is still empty
+        # when the replay samples ``has_green`` at its start.
+        self._is_green = sku.generation == 0
+        self.opened = 0
+
+    def has_green(self) -> bool:
+        return self._is_green
+
+    def choose_green(self, vm, cores: int, memory_gb: float):
+        return self._choose(self._backend.choose_green, vm, cores, memory_gb)
+
+    def choose_baseline(self, vm, cores: int, memory_gb: float):
+        return self._choose(
+            self._backend.choose_baseline, vm, cores, memory_gb
+        )
+
+    def _choose(self, choose, vm, cores: int, memory_gb: float):
+        server = choose(vm, cores, memory_gb)
+        if server is None:
+            if self.opened == MAX_SERVERS:
+                raise SizingError(
+                    f"VM {vm.vm_id} needs more than {MAX_SERVERS} "
+                    f"{self._sku.name} servers"
+                )
+            self._add_server(Server(self.opened, self._sku))
+            self.opened += 1
+            server = choose(vm, cores, memory_gb)
+            if server is None:
+                raise SizingError(
+                    f"VM {vm.vm_id} ({cores} cores, {memory_gb:g} GB) "
+                    f"fits no empty {self._sku.name} server"
+                )
+        return server
+
+
 def right_size(
     trace: VmTrace,
     sku: ServerSKU,
     adoption: AdoptionPolicy = adopt_nothing,
     lower: int = 1,
-    hint: Optional[int] = None,
     stats: Optional[SizingStats] = None,
 ) -> int:
     """Minimum count of ``sku`` servers hosting ``trace`` with no rejection.
 
-    Binary search on the server count (rejections are monotone in cluster
-    size under best-fit for all practical traces), then a downward linear
-    verification pass to guard against non-monotonicity at the boundary.
-    Every probe within the search is memoized, so no configuration is
-    simulated twice (in particular the verification pass reuses the
-    bisection's final infeasible probe), and the result never falls below
-    the caller-supplied ``lower`` bound.
+    One replay of the trace against a pool of ``sku`` servers that starts
+    empty and opens server ``k`` only when no open server can host the
+    arriving VM; the answer is the number of servers opened.
+
+    Why this is exact (under best-fit, the production policy).  Best-fit
+    tries busy servers first and takes an empty server only when no busy
+    one fits; ties among empty servers go to the lowest id (see
+    :mod:`repro.allocation.index`), and full-node VMs always take the
+    lowest-id empty server.  In a replay against ``n`` servers, servers
+    are therefore first used in id order, and the on-demand pool opens
+    server ``k`` exactly when an ``n``-server replay would first use it.
+    So the ``n``-server replay makes the same moves as the on-demand
+    replay until the latter opens server ``n``.  That happens only when
+    all ``n`` open servers are busy and none fits the VM, which is the
+    moment the ``n``-server replay rejects.  Hence ``n`` servers suffice
+    iff ``n >= opened``: feasibility is monotone in ``n``, and ``opened``
+    (the peak count of non-empty servers) is the minimum.  First-fit and
+    worst-fit may take an empty server while a busy one fits, which
+    breaks the argument, so only best-fit is accepted.
 
     Args:
-        lower: Minimum admissible count; the search neither probes nor
-            returns counts below it (an empty trace still needs 0).
-        hint: Warm-start for the bracket (e.g. a related search's
-            result); the exponential bracket starts there instead of at
-            ``lower``.  A wrong hint costs extra probes but never changes
-            the result.
-        stats: When given, this search's probe counters are accumulated
-            into it (on top of the module-wide aggregate).
+        lower: Minimum admissible count; the result never falls below it
+            (an empty trace still needs 0).
+        stats: When given, this search's replay is counted into it (on
+            top of the module-wide aggregate).
+
+    Raises:
+        SizingError: A VM fits no empty ``sku`` server (or needs more
+            than :data:`MAX_SERVERS`); raised as soon as the replay
+            reaches it, naming the VM.
     """
     if lower < 0:
         raise ConfigError("lower bound must be >= 0")
-
-    if resolve_engine() == "reference":
-
-        def probe(n: int) -> bool:
-            if n == 0:
-                return trace.vm_count == 0
-            return _feasible(trace, ClusterSpec.of((sku, n)), adoption)
-
-    else:
-        prober = _EngineProber(trace, (sku,), adoption)
-
-        def probe(n: int) -> bool:
-            if n == 0:
-                return trace.vm_count == 0
-            return prober(n)
-
     if not trace.vm_count:
         return 0
-
-    feasible = _FeasibilityMemo(probe)
-    floor = max(lower, 1)
-    bracket_steps = 0
-    bisect_steps = 0
-    verify_steps = 0
-    # Exponential bracket, optionally warm-started from a hint.  The
-    # invariant entering the bisection: ``lo`` infeasible (or the floor's
-    # sentinel below it), ``hi`` feasible.
-    start = max(floor, min(hint, MAX_SERVERS) if hint else floor)
-    bracket_steps += 1
-    if feasible(start):
-        hi = start
-        lo = floor - 1  # sentinel: never probed, counts below floor
-        # are out of bounds by contract.
-        step = max(1, hi // 2)
-        probe_down = hi - step
-        while probe_down > lo:
-            bracket_steps += 1
-            if feasible(probe_down):
-                hi = probe_down
-                step = max(1, hi // 2)
-                probe_down = hi - step
-            else:
-                lo = probe_down
-                break
-    else:
-        lo = start
-        hi = start * 2
-        while True:
-            if hi > MAX_SERVERS:
-                raise SizingError(
-                    f"trace {trace.name} does not fit {MAX_SERVERS} "
-                    f"{sku.name} servers"
-                )
-            bracket_steps += 1
-            if feasible(hi):
-                break
-            lo = hi
-            hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        bisect_steps += 1
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    # Downward verification: ensure hi-1 truly infeasible.  When the
-    # bisection just probed hi-1 (the common case), the memo answers and
-    # nothing is re-simulated.
-    while hi > floor:
-        verify_steps += 1
-        if not feasible(hi - 1):
-            break
-        hi -= 1
+    pool = _OnDemandPool(sku)
+    _GLOBAL_SIZING_STATS.simulate_calls += 1
     if stats is not None:
-        stats.merge(feasible.stats)
+        stats.simulate_calls += 1
     tel = telemetry.active()
     if tel is not None:
-        tel.count_many(
-            {
-                "sizing.searches": 1,
-                "sizing.bracket_steps": bracket_steps,
-                "sizing.bisect_steps": bisect_steps,
-                "sizing.verify_steps": verify_steps,
-                "sizing.simulate_calls": feasible.stats.simulate_calls,
-                "sizing.memo_hits": feasible.stats.memo_hits,
-            }
-        )
-    return max(hi, lower)
+        tel.count_many({"sizing.searches": 1, "sizing.simulate_calls": 1})
+    replay_on_engine(
+        trace,
+        ClusterSpec.of((sku, 0)),
+        pool,
+        adoption=adoption,
+        snapshot_hours=1e9,
+    )
+    return max(pool.opened, lower)
 
 
 def _split_trace(
@@ -400,9 +417,10 @@ def size_mixed_cluster(
     which keeps the statistical multiplexing that fungible fallback
     placement (adopters overflowing onto idle baseline capacity) buys.
 
-    The reference search warm-starts the partition searches, and every
-    mixed-cluster configuration probed by the verification and trim loops
-    is memoized, so no (baseline, green) count pair is simulated twice.
+    Each right-size is one replay (:func:`right_size`).  The verify and
+    trim loops keep a search, because green-to-baseline fallback couples
+    the two pools; every mixed-cluster configuration they probe is
+    memoized, so no (baseline, green) count pair is simulated twice.
 
     Args:
         trace: The VM workload.
@@ -417,40 +435,23 @@ def size_mixed_cluster(
     """
     n_reference = right_size(trace, baseline, adopt_nothing, stats=stats)
     green_trace, base_trace = _split_trace(trace, adoption)
-    # Warm-start each partition from the reference bracket: a partition
-    # never needs more servers of the same-or-bigger SKU than the whole
-    # trace needed baselines, and is usually close below it.
     n_base = (
-        right_size(base_trace, baseline, hint=n_reference, stats=stats)
+        right_size(base_trace, baseline, stats=stats)
         if base_trace.vm_count
         else 0
     )
     n_green = (
-        right_size(
-            green_trace, greensku, adoption, hint=n_reference, stats=stats
-        )
+        right_size(green_trace, greensku, adoption, stats=stats)
         if green_trace.vm_count
         else 0
     )
     if verify and (n_base or n_green):
-        if resolve_engine() == "reference":
+        prober = _prober(trace, (baseline, greensku), adoption)
 
-            def probe(nb: int, ng: int) -> bool:
-                if nb + ng == 0:
-                    return not trace.vm_count
-                return _feasible(
-                    trace,
-                    ClusterSpec.of((baseline, nb), (greensku, ng)),
-                    adoption,
-                )
-
-        else:
-            prober = _EngineProber(trace, (baseline, greensku), adoption)
-
-            def probe(nb: int, ng: int) -> bool:
-                if nb + ng == 0:
-                    return not trace.vm_count
-                return prober(nb, ng)
+        def probe(nb: int, ng: int) -> bool:
+            if nb + ng == 0:
+                return not trace.vm_count
+            return prober(nb, ng)
 
         feasible = _FeasibilityMemo(probe)
         grow_steps = 0
@@ -538,9 +539,9 @@ def size_generation_aware(
 
     The reference hosts each generation's VMs on that generation's SKU;
     the mixed cluster adds GreenSKUs for adopters and trims greedily on
-    the full trace with generation routing active.  The non-adopter
-    searches warm-start from the reference counts, and the verify/trim
-    loops memoize every probed configuration.
+    the full trace with generation routing active.  Every per-pool
+    right-size is one replay, and the verify/trim loops memoize every
+    probed configuration.
     """
     generations = sorted(baselines)
     # Reference: per-generation right-size on that generation's sub-trace.
@@ -562,11 +563,7 @@ def size_generation_aware(
             name=f"{trace.name}-rest-g{gen}",
         )
         mixed[gen] = (
-            right_size(
-                sub, baselines[gen], hint=reference[gen] or None, stats=stats
-            )
-            if sub.vm_count
-            else 0
+            right_size(sub, baselines[gen], stats=stats) if sub.vm_count else 0
         )
     n_green = (
         right_size(green_trace, greensku, adoption, stats=stats)
@@ -575,26 +572,12 @@ def size_generation_aware(
     )
 
     if verify:
+        slot_skus = [baselines[gen] for gen in generations] + [greensku]
+        prober = _prober(trace, slot_skus, adoption)
 
-        def spec(counts: Tuple[Tuple[int, int], ...], ng: int) -> ClusterSpec:
-            pairs = [(baselines[gen], count) for gen, count in counts]
-            pairs.append((greensku, ng))
-            return ClusterSpec.of(*pairs)
-
-        if resolve_engine() == "reference":
-
-            def probe(counts: Tuple[Tuple[int, int], ...], ng: int) -> bool:
-                return _feasible(trace, spec(counts, ng), adoption)
-
-        else:
-            slot_skus = [baselines[gen] for gen in generations] + [greensku]
-            prober = _EngineProber(trace, slot_skus, adoption)
-
-            def probe(counts: Tuple[Tuple[int, int], ...], ng: int) -> bool:
-                by_gen = dict(counts)
-                return prober(
-                    *(by_gen.get(gen, 0) for gen in generations), ng
-                )
+        def probe(counts: Tuple[Tuple[int, int], ...], ng: int) -> bool:
+            by_gen = dict(counts)
+            return prober(*(by_gen.get(gen, 0) for gen in generations), ng)
 
         memo = _FeasibilityMemo(probe)
 

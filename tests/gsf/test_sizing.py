@@ -4,17 +4,27 @@ import collections
 
 import pytest
 
-from repro.allocation.cluster import ClusterSpec, adopt_nothing, simulate
+from repro.allocation.cluster import (
+    ClusterSpec,
+    adopt_everything,
+    adopt_nothing,
+    simulate,
+)
 from repro.allocation.traces import TraceParams, VmTrace
 from repro.allocation.vm import VmRequest
+from repro.core import telemetry
+from repro.core.errors import ConfigError, SizingError
 from repro.gsf import sizing as sizing_module
 from repro.gsf.sizing import (
     ClusterSizing,
     SizingStats,
+    _OnDemandPool,
     right_size,
     size_mixed_cluster,
 )
 from repro.hardware.sku import baseline_gen3, greensku_full
+
+from .sizing_oracle import bisection_right_size
 
 
 def make_vm(vm_id, cores=8, lifetime=24.0, app="Redis", gen=3):
@@ -78,6 +88,32 @@ class TestRightSize:
         )
         assert n_green <= n_base
 
+    def test_full_node_vm_on_greensku_fails_fast(self):
+        # A GreenSKU pool can never host a full-node VM.  The search
+        # must name the VM after one partial replay instead of probing
+        # ever larger clusters first.
+        full = VmRequest(
+            vm_id=7,
+            arrival_hours=1.0,
+            lifetime_hours=24.0,
+            cores=80,
+            memory_gb=768.0,
+            generation=3,
+            app_name="Redis",
+            full_node=True,
+        )
+        trace = trace_of([make_vm(i) for i in range(3)] + [full])
+        with telemetry.capture() as tel:
+            with pytest.raises(SizingError, match="VM 7"):
+                right_size(trace, greensku_full(), adopt_everything)
+        assert tel.counters["sizing.simulate_calls"] == 1
+        assert tel.counters["alloc.replays"] == 1
+
+    def test_one_pass_needs_best_fit(self):
+        # The exactness argument holds for best-fit only.
+        with pytest.raises(ConfigError, match="best-fit"):
+            _OnDemandPool(baseline_gen3(), policy="first-fit")
+
 
 class TestSearchEfficiency:
     """The memoized searches never simulate a configuration twice."""
@@ -116,18 +152,20 @@ class TestSearchEfficiency:
     def test_right_size_never_resimulates(
         self, small_trace, simulate_counter
     ):
-        # In particular the downward-verification pass must reuse the
-        # bisection's final infeasible probe instead of re-running it.
+        # The one-pass search replays the trace exactly once.
         right_size(small_trace, baseline_gen3())
         assert simulate_counter and max(simulate_counter.values()) == 1
 
     def test_mixed_sizing_never_resimulates(
-        self, small_trace, gsf, full_sku, simulate_counter
+        self, medium_trace, gsf, efficient_sku, simulate_counter
     ):
-        policy = gsf.adoption_model(full_sku).policy()
+        # A scenario whose trim loop removes a server, so the loop's next
+        # pass re-checks a configuration it already probed.  (When the
+        # right-sized seeds are already minimal, nothing is re-checked.)
+        policy = gsf.adoption_model(efficient_sku).policy()
         stats = SizingStats()
         size_mixed_cluster(
-            small_trace, baseline_gen3(), full_sku, policy, stats=stats
+            medium_trace, baseline_gen3(), efficient_sku, policy, stats=stats
         )
         assert max(simulate_counter.values()) == 1
         # The memo must actually have absorbed repeat probes (the trim
@@ -143,13 +181,22 @@ class TestSearchEfficiency:
         )
         assert constrained == unconstrained + 3
 
-    def test_hint_does_not_change_result(self, small_trace):
-        reference = right_size(small_trace, baseline_gen3())
-        for hint in (1, reference, reference + 10, 4 * reference):
-            assert (
-                right_size(small_trace, baseline_gen3(), hint=hint)
-                == reference
-            )
+    @pytest.mark.parametrize("lower", (0, 1, 5, 40))
+    def test_matches_bisection_oracle(self, small_trace, lower):
+        expected = bisection_right_size(
+            small_trace, baseline_gen3(), lower=lower
+        )
+        assert right_size(small_trace, baseline_gen3(), lower=lower) == (
+            expected
+        )
+
+    def test_matches_bisection_oracle_on_greensku(self, small_trace):
+        expected = bisection_right_size(
+            small_trace, greensku_full(), adopt_everything
+        )
+        assert right_size(small_trace, greensku_full(), adopt_everything) == (
+            expected
+        )
 
     def test_empty_trace_ignores_lower(self):
         assert right_size(trace_of([]), baseline_gen3(), lower=5) == 0
