@@ -6,14 +6,15 @@ Two gates, mirroring the fleet bench:
   the divergent two-generation scenario (gen2 + gen3 baselines + a
   GreenSKU pool, where blind generation-routing and carbon-aware
   watts-per-core tiering genuinely disagree) under both policies across
-  every engine × replay driver, asserts each policy collapses to a
+  every engine × entry point (``simulate``, and ``replay_columnar`` at
+  two chunk sizes), asserts each policy collapses to a
   single outcome digest and a single exact operational-kg value, and
   pins both against ``benchmarks/golden_carbon_digests.json`` —
   including a *nonzero* operational-carbon delta.  Refresh with
   ``REPRO_UPDATE_GOLDEN=1``.
 - ``test_carbon_scale_overhead`` times the blind and carbon-aware
-  replays at ``REPRO_BENCH_CARBON_VMS`` concurrent VMs on the SoA
-  streaming path and writes ``benchmarks/out/BENCH_carbon_aware.json``
+  replays at ``REPRO_BENCH_CARBON_VMS`` concurrent VMs on the indexed
+  engine and writes ``benchmarks/out/BENCH_carbon_aware.json``
   (schema checked by :func:`validate_bench_carbon_aware`).
 
 ``--smoke`` shrinks the scale knob for CI.
@@ -69,7 +70,9 @@ def _scenario_cluster(mean_concurrent: int) -> ClusterSpec:
     )
 
 
-def _replay(policy_aware: bool, engine: str, driver, mean_concurrent: int):
+def _replay_once(
+    policy_aware: bool, engine: str, driver, mean_concurrent: int
+):
     """One (policy, engine, driver) replay; returns (digest, exact kg)."""
     params = TraceParams(
         duration_days=GOLDEN_DAYS, mean_concurrent_vms=mean_concurrent
@@ -79,7 +82,7 @@ def _replay(policy_aware: bool, engine: str, driver, mean_concurrent: int):
     signal = diurnal_signal()
     accountant = CarbonAccountant(signal)
     placement = carbon_aware_policy(signal) if policy_aware else None
-    if driver == "row":
+    if driver == "simulate":
         outcome = simulate(
             trace, cluster, adoption=adopt_everything, engine=engine,
             placement=placement, accountant=accountant,
@@ -93,11 +96,11 @@ def _replay(policy_aware: bool, engine: str, driver, mean_concurrent: int):
 
 
 def _policy_identity(policy_aware: bool) -> dict:
-    """Replay one policy across engines × drivers; must collapse to one."""
+    """Replay one policy across engines × entry points; must collapse."""
     digests, kgs = set(), set()
     for engine in ENGINES:
-        for driver in ("row", 64, 4096):
-            digest, kg = _replay(
+        for driver in ("simulate", 64, 4096):
+            digest, kg = _replay_once(
                 policy_aware, engine, driver, GOLDEN_CONCURRENT
             )
             digests.add(digest)
@@ -156,7 +159,7 @@ def test_carbon_scale_overhead(save):
     acct = CarbonAccountant(signal)
     t0 = time.perf_counter()
     blind = replay_columnar(
-        trace, cluster, adopt_everything, engine="soa", accountant=acct
+        trace, cluster, adopt_everything, engine="indexed", accountant=acct
     )
     blind_s = time.perf_counter() - t0
 
@@ -164,7 +167,7 @@ def test_carbon_scale_overhead(save):
     acct = CarbonAccountant(signal)
     t0 = time.perf_counter()
     aware = replay_columnar(
-        trace, cluster, adopt_everything, engine="soa",
+        trace, cluster, adopt_everything, engine="indexed",
         placement=carbon_aware_policy(signal), accountant=acct,
     )
     aware_s = time.perf_counter() - t0

@@ -1,18 +1,18 @@
-"""Benchmark: fleet-scale allocation replay (streaming SoA vs row path).
+"""Benchmark: fleet-scale allocation replay (indexed engine vs reference).
 
 Two gates mirror the queueing bench:
 
 - ``test_fleet_golden_digest`` always runs (the CI smoke): it replays a
-  small fixed fleet through the SoA + streaming-columnar path and fails
-  on any fleet/per-cluster digest mismatch against
+  small fixed fleet on the indexed engine and fails on any
+  fleet/per-cluster digest mismatch against
   ``benchmarks/golden_fleet_digests.json`` (generated from the
   ``reference`` engine; refresh with ``REPRO_UPDATE_GOLDEN=1``).
 - ``test_fleet_scale_speedup`` replays the full fleet — by default 100
-  clusters totalling >= 10^6 VMs — on the SoA + streaming path, then
-  walks a *scale trajectory* of single-cluster samples (by default
-  1/4x, 1/2x, 1x, and 1.6x of the speedup scale — the largest ~3100
-  servers, well past the old single 25k-VM sample), timing each on both
-  the row-based reference path and the streaming path, asserting
+  clusters totalling >= 10^6 VMs — on the indexed engine, then walks a
+  *scale trajectory* of single-cluster samples (by default 1/4x, 1/2x,
+  1x, and 1.6x of the speedup scale — the largest ~3100 servers),
+  timing each on both the scanning ``reference`` engine and the indexed
+  engine (the same streaming replay loop drives both), asserting
   bit-identical ``outcome_digest``s at every scale, and writes the
   machine-readable ``benchmarks/out/BENCH_fleet.json`` artifact —
   including the per-scale ``scale_trajectory`` — (schema checked by
@@ -25,17 +25,15 @@ Scale knobs (CI smoke sets small values; ``--smoke`` does it for you):
 - ``REPRO_BENCH_FLEET_VMS``: mean concurrent VMs per cluster (default
   5200, about 11k VM arrivals per 3-day trace).
 - ``REPRO_BENCH_FLEET_SPEEDUP_VMS``: mean concurrent VMs of the
-  largest speedup-sample cluster (default 25000 — ~1900 servers, the
-  scale where the vectorized scan's advantage over the Python row walk
-  is architectural rather than incidental; the trajectory extends 1.6x
-  beyond it).
+  largest speedup-sample cluster (default 25000 — ~1900 servers, where
+  the reference engine's per-query O(servers) scan dominates; the
+  trajectory extends 1.6x beyond it).
 - ``REPRO_BENCH_FLEET_TRAJECTORY``: explicit comma-separated
   concurrent-VM scales for the trajectory (overrides the derived
   1/4x,1/2x,1x,1.6x ladder).
 
-The >= 3x in-test floor (real runs clear 5x; see BENCH_fleet.json)
-only applies at full scale — tiny smoke clusters are numpy-overhead
-bound and measure nothing.
+The >= 3x in-test floor (see BENCH_fleet.json for real runs) only
+applies at full scale — tiny smoke clusters measure nothing.
 """
 
 import json
@@ -57,7 +55,7 @@ from repro.allocation.traces import TraceParams, generate_trace
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_fleet_digests.json"
 
-BENCH_SCHEMA = "repro-bench-fleet/1"
+BENCH_SCHEMA = "repro-bench-fleet/2"
 
 #: Server-per-concurrent-VM sizing: measured ~5.23 peak cores per unit
 #: of ``mean_concurrent_vms`` under the default trace shape, with 20%
@@ -97,29 +95,30 @@ def _trajectory_scales(speedup_concurrent: int) -> list:
 
 
 def _sample_point(mean_concurrent: int) -> dict:
-    """Time one cluster at ``mean_concurrent`` on both replay paths."""
+    """Time one cluster at ``mean_concurrent`` on both engines."""
     params = TraceParams(
         duration_days=3.0, mean_concurrent_vms=mean_concurrent
     )
     cluster = _sized_cluster(mean_concurrent)
-    streaming_trace = generate_trace(11, params, name="speedup-sample")
+    trace = generate_trace(11, params, name="speedup-sample")
     t0 = time.perf_counter()
-    streaming = replay_columnar(
-        streaming_trace, cluster, adopt_everything, engine="soa"
+    indexed = simulate(trace, cluster, adopt_everything, engine="indexed")
+    indexed_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    reference = simulate(
+        trace, cluster, adopt_everything, engine="reference"
     )
-    streaming_s = time.perf_counter() - t0
-    row_trace = generate_trace(11, params, name="speedup-sample")
-    t0 = time.perf_counter()
-    row = simulate(row_trace, cluster, adopt_everything, engine="reference")
-    row_s = time.perf_counter() - t0
+    reference_s = time.perf_counter() - t0
     return {
         "vms_concurrent": mean_concurrent,
-        "vms": int(streaming_trace.columns.n),
+        "vms": int(trace.columns.n),
         "servers": cluster.total_servers,
-        "row_reference_s": round(row_s, 3),
-        "soa_streaming_s": round(streaming_s, 3),
-        "speedup": round(row_s / streaming_s, 2),
-        "bit_identical": outcome_digest(streaming) == outcome_digest(row),
+        "reference_s": round(reference_s, 3),
+        "indexed_s": round(indexed_s, 3),
+        "speedup": round(reference_s / indexed_s, 2),
+        "bit_identical": (
+            outcome_digest(indexed) == outcome_digest(reference)
+        ),
     }
 
 
@@ -156,9 +155,9 @@ def _fleet_spec(clusters: int, mean_concurrent: int) -> FleetSpec:
 
 
 def test_fleet_golden_digest(save):
-    """SoA+streaming fleet digests match the reference-engine goldens."""
+    """Indexed-engine fleet digests match the reference-engine goldens."""
     spec = _fleet_spec(GOLDEN_CLUSTERS, GOLDEN_CONCURRENT)
-    outcome = simulate_fleet(spec, adopt_everything, engine="soa")
+    outcome = simulate_fleet(spec, adopt_everything, engine="indexed")
     digests = {
         "fleet": outcome.digest(),
         "clusters": {
@@ -182,7 +181,7 @@ def test_fleet_golden_digest(save):
         )
     golden = json.loads(GOLDEN_PATH.read_text())
     assert digests == golden, (
-        "SoA+streaming fleet digests diverged from the reference-engine "
+        "indexed-engine fleet digests diverged from the reference-engine "
         "goldens"
     )
     save(
@@ -198,7 +197,7 @@ def test_fleet_golden_digest(save):
 
 
 def test_fleet_scale_speedup(save):
-    """Full-fleet streaming replay + row-vs-streaming speedup sample."""
+    """Full-fleet replay + reference-vs-indexed speedup trajectory."""
     clusters = _env_int("REPRO_BENCH_FLEET_CLUSTERS", DEFAULT_CLUSTERS)
     concurrent = _env_int("REPRO_BENCH_FLEET_VMS", DEFAULT_CONCURRENT)
     speedup_concurrent = _env_int(
@@ -210,10 +209,10 @@ def test_fleet_scale_speedup(save):
         and speedup_concurrent >= 20000
     )
 
-    # -- the fleet itself: streaming SoA only, rows never materialized.
+    # -- the fleet itself: indexed engine, rows never materialized.
     spec = _fleet_spec(clusters, concurrent)
     t0 = time.perf_counter()
-    outcome = simulate_fleet(spec, adopt_everything, engine="soa")
+    outcome = simulate_fleet(spec, adopt_everything, engine="indexed")
     fleet_s = time.perf_counter() - t0
     total_vms = outcome.placed_vms + outcome.rejected_vms
     if full_scale:
@@ -231,14 +230,14 @@ def test_fleet_scale_speedup(save):
     )
     assert probe_trace._rows is None
     replay_columnar(
-        probe_trace, probe_task.cluster, adopt_everything, engine="soa"
+        probe_trace, probe_task.cluster, adopt_everything, engine="indexed"
     )
     rows_materialized = probe_trace._rows is not None
     assert not rows_materialized, (
         "streaming replay materialized VmRequest rows"
     )
 
-    # -- speedup trajectory: row vs streaming at increasing cluster
+    # -- speedup trajectory: reference vs indexed at increasing cluster
     #    scales, bit-identical at every rung; the largest rung is the
     #    headline speedup sample.
     trajectory = [
@@ -265,8 +264,8 @@ def test_fleet_scale_speedup(save):
             for key in (
                 "vms",
                 "servers",
-                "row_reference_s",
-                "soa_streaming_s",
+                "reference_s",
+                "indexed_s",
                 "speedup",
                 "bit_identical",
             )
@@ -277,7 +276,7 @@ def test_fleet_scale_speedup(save):
     assert not problems, problems
     save("BENCH_fleet.json", json.dumps(payload, indent=2))
     assert bit_identical, (
-        "SoA+streaming sample diverged from the row-based reference path"
+        "indexed-engine sample diverged from the reference engine"
     )
     if full_scale:
         assert speedup >= 3.0, f"fleet speedup {speedup:.1f}x < 3x"
@@ -317,7 +316,7 @@ def validate_bench_fleet(manifest) -> list:
             problems.append(
                 f"speedup_sample.{key} is {value!r}, expected int > 0"
             )
-    for key in ("row_reference_s", "soa_streaming_s", "speedup"):
+    for key in ("reference_s", "indexed_s", "speedup"):
         value = sample.get(key)
         if not isinstance(value, (int, float)) or value <= 0:
             problems.append(

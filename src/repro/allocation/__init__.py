@@ -37,7 +37,6 @@ from .lifetimes import (
 )
 from .packing import PackingPoint, cdf, fraction_below, packing_point
 from .scheduler import BestFitScheduler, PlacementDecision, Server
-from .soa import SoAPlacementEngine
 from .store import TraceStore, store_enabled
 from .traces import TraceParams, VmTrace, generate_trace, production_trace_suite
 from .vm import VmRequest
@@ -65,7 +64,6 @@ __all__ = [
     "FleetSpec",
     "simulate_fleet",
     "PlacementEngine",
-    "SoAPlacementEngine",
     "LifetimePredictor",
     "SegregationOutcome",
     "segregation_study",

@@ -16,7 +16,7 @@ scaling factor and prefer GreenSKU capacity but may *fungibly* fall back
 to baseline SKUs (the paper's growth-buffer workaround); non-adopters and
 full-node VMs run only on baseline SKUs.
 
-Three interchangeable placement backends replay the same event stream:
+Two interchangeable placement backends replay the same event stream:
 
 - the **indexed** engine (:class:`~repro.allocation.index.PlacementEngine`,
   the default) answers each placement query from an incrementally
@@ -24,31 +24,25 @@ Three interchangeable placement backends replay the same event stream:
 - the **reference** backend scans every server per query and walks every
   server per snapshot — the original implementation, kept as the
   equivalence oracle and selectable via ``simulate(..., engine=
-  "reference")`` or ``REPRO_ALLOC_ENGINE=reference``;
-- the **soa** engine (:class:`~repro.allocation.soa.SoAPlacementEngine`)
-  keeps per-server state in parallel numpy arrays and is paired with
-  the streaming columnar replay below for fleet-scale runs.
+  "reference")`` or ``REPRO_ALLOC_ENGINE=reference``.
 
-All three produce bit-identical :class:`SimOutcome` values (same server
-for every VM, same exact snapshot sums); ``tests/allocation/``
-holds them to it.
+Both produce bit-identical :class:`SimOutcome` values (same server for
+every VM, same exact snapshot sums); ``tests/allocation/`` holds them to
+it.
 
-Two replay drivers share the placement semantics:
-
-- :func:`_replay` — the original row loop over ``trace.vms``
-  (``VmRequest`` objects plus a departure heap);
-- :func:`_replay_events` / :func:`replay_columnar` — a streaming loop
-  over a precomputed lexsorted arrival/departure event stream drawn
-  directly from :class:`~repro.allocation.columnar.ColumnarTrace`
-  arrays, processed in cache-sized chunks, never materializing
-  ``VmRequest`` rows.  ``simulate(..., engine="soa")`` routes through
-  it; any engine can be driven through it explicitly.
+One replay loop, :func:`_replay_events`, drives either backend: a
+streaming loop over a precomputed lexsorted arrival/departure event
+stream drawn directly from
+:class:`~repro.allocation.columnar.ColumnarTrace` arrays, processed in
+cache-sized chunks, never materializing ``VmRequest`` rows.
+:func:`simulate`, :func:`replay_columnar` and :func:`replay_on_engine`
+are its three entry points (a fresh cluster, a fresh cluster with an
+explicit chunk size, and a caller-owned engine).
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import os
 import time
@@ -65,7 +59,6 @@ from ..perf.apps import APP_BY_NAME
 from ..perf.pond import plan_tiering
 from .index import METRICS, SCALE_SHIFT, KindAggregate, PlacementEngine, scaled_int
 from .scheduler import BestFitScheduler, Server
-from .soa import SoAPlacementEngine
 from .traces import VmTrace
 
 #: An adoption policy maps (app_name, generation) to a scaling factor, or
@@ -74,7 +67,7 @@ AdoptionPolicy = Callable[[str, int], Optional[float]]
 
 #: Selectable placement backends and the env override honored when the
 #: ``simulate(engine=...)`` argument is absent.
-ENGINES = ("indexed", "reference", "soa")
+ENGINES = ("indexed", "reference")
 ENGINE_ENV = "REPRO_ALLOC_ENGINE"
 
 #: Emission-aware placement policy names (orthogonal to the scheduler's
@@ -103,15 +96,15 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 @dataclass(frozen=True)
 class PlacementPolicy:
-    """An emission-aware placement policy for the replay drivers.
+    """An emission-aware placement policy for the allocation replay.
 
     ``"blind"`` reproduces today's behavior bit-for-bit (the replay
     takes the exact pre-policy code path — no wrapper, no overhead).
     ``"carbon_aware"`` partitions the cluster into *tiers* of equal
     ``carbon_key`` (marginal operational carbon per core, ascending)
     and consults tiers in order: within a tier, placement is exactly
-    the blind scheduler, so the policy composes with every engine and
-    both replay drivers identically.
+    the blind scheduler, so the policy composes with every engine
+    identically.
 
     Build ``"carbon_aware"`` policies with
     :func:`repro.carbon.grid.carbon_aware_policy`, which derives
@@ -499,42 +492,6 @@ class _ReferenceBackend:
         }
 
 
-class _IndexedBackend:
-    """Adapter running the replay loop against a :class:`PlacementEngine`."""
-
-    def __init__(self, engine: PlacementEngine):
-        self.engine = engine
-
-    def has_green(self) -> bool:
-        return self.engine.green_count > 0
-
-    def choose_green(self, vm, cores: int, memory_gb: float):
-        return self.engine.choose_green(vm, cores, memory_gb)
-
-    def choose_baseline(self, vm, cores: int, memory_gb: float):
-        return self.engine.choose_baseline(vm, cores, memory_gb)
-
-    def place(self, server, vm, cores, memory_gb, cxl_gb=0.0):
-        self.engine.place(server, vm, cores, memory_gb, cxl_gb=cxl_gb)
-
-    def remove(self, server, vm_id):
-        self.engine.remove(server, vm_id)
-
-    def snapshot(self, outcome: SimOutcome) -> None:
-        self.engine.merge_stats(outcome.green_stats, outcome.baseline_stats)
-
-    def telemetry_counters(self) -> Dict[str, int]:
-        """Cumulative work counters (the replay loop folds deltas)."""
-        engine = self.engine
-        return {
-            "engine.queries": engine.stat_queries,
-            "engine.bucket_probes": engine.bucket_probes(),
-            "engine.places": engine.stat_places,
-            "engine.removes": engine.stat_removes,
-            "engine.snapshot_merges": engine.stat_snapshot_merges,
-        }
-
-
 class _TieredBackend:
     """Composite backend: one inner backend per carbon tier.
 
@@ -545,7 +502,7 @@ class _TieredBackend:
     behaves exactly like the blind scheduler.  Because every engine
     builds its tiers from the same server groups in the same order, the
     composite inherits the per-tier bit-identity of the underlying
-    engines: carbon-aware outcomes are engine- and driver-independent.
+    engines: carbon-aware outcomes are engine-independent.
 
     Note one deliberate semantic: generation routing is computed *per
     tier*.  A multi-generation baseline fleet split across tiers routes
@@ -602,156 +559,6 @@ class _TieredBackend:
         return totals
 
 
-def _replay(
-    trace: VmTrace,
-    cluster: ClusterSpec,
-    backend,
-    adoption: AdoptionPolicy,
-    snapshot_hours: float,
-    raise_on_reject: bool,
-    accountant=None,
-) -> SimOutcome:
-    """The event loop shared by both placement backends."""
-    outcome = SimOutcome(cluster=cluster)
-    has_green = backend.has_green()
-
-    # Telemetry: snapshot the backend's cumulative counters up front and
-    # fold the deltas (plus per-replay event tallies, accumulated as
-    # plain local ints) once at the end — zero per-event overhead.
-    tel = telemetry.active()
-    if tel is not None:
-        counters_before = backend.telemetry_counters()
-        t_start = time.perf_counter()
-    n_departures = 0
-    n_snapshots = 0
-    acct_events_before = accountant.events if accountant is not None else 0
-
-    # Departures as a heap of (time, vm_id, server, cores); the trailing
-    # cores element is never compared — (time, vm_id) is unique — it
-    # just rides along for the carbon accountant.  Arrivals in order.
-    # The snapshot grid anchors at the window start (first arrival), so
-    # traces that begin mid-day observe the same grid as their rebased
-    # twins instead of burning phantom empty snapshots from t=0.
-    departures: List[Tuple[float, int, Server, int]] = []
-    rows = trace.vms
-    start = rows[0].arrival_hours if rows else 0.0
-    next_snapshot = start + snapshot_hours
-
-    def take_snapshots_until(now: float) -> None:
-        nonlocal next_snapshot, n_snapshots
-        while next_snapshot <= now:
-            backend.snapshot(outcome)
-            n_snapshots += 1
-            next_snapshot += snapshot_hours
-
-    try:
-        for vm in trace.vms:
-            # Release departures and take snapshots up to this arrival.
-            while departures and departures[0][0] <= vm.arrival_hours:
-                dep_time, vm_id, server, dep_cores = heapq.heappop(departures)
-                take_snapshots_until(dep_time)
-                backend.remove(server, vm_id)
-                if accountant is not None:
-                    accountant.on_remove(dep_time, server.sku, dep_cores)
-                n_departures += 1
-            take_snapshots_until(vm.arrival_hours)
-
-            factor = (
-                None if vm.full_node else adoption(vm.app_name, vm.generation)
-            )
-            placed_server: Optional[Server] = None
-            cores, memory_gb = vm.cores, vm.memory_gb
-            if factor is not None and has_green:
-                scaled = vm.scaled(factor)
-                placed_server = backend.choose_green(
-                    vm, scaled.cores, scaled.memory_gb
-                )
-                if placed_server is not None:
-                    cores, memory_gb = scaled.cores, scaled.memory_gb
-            if placed_server is None:
-                # Non-adopters, full-node VMs, and fungible fallback.
-                placed_server = backend.choose_baseline(vm, cores, memory_gb)
-                if placed_server is not None and factor is not None:
-                    outcome.fallback_placements += 1
-            if placed_server is None:
-                if raise_on_reject:
-                    raise CapacityError(
-                        f"VM {vm.vm_id} rejected by cluster "
-                        f"({cluster.total_servers} servers)"
-                    )
-                outcome.rejected_vms.append(vm.vm_id)
-                continue
-
-            # Pond tiering: on CXL-equipped servers, place the VM's
-            # predicted-untouched memory (or, for tolerant apps,
-            # everything) on the CXL pool, bounded by the pool's
-            # remaining capacity.
-            cxl_gb = 0.0
-            if (
-                placed_server.is_green
-                and placed_server.total_cxl_gb > 0
-                and not vm.full_node
-            ):
-                app = APP_BY_NAME.get(vm.app_name)
-                if app is not None:
-                    plan = plan_tiering(
-                        app,
-                        memory_gb,
-                        vm.max_memory_fraction,
-                        server_cxl_fraction=placed_server.sku.cxl_fraction,
-                    )
-                    cxl_gb = min(plan.cxl_gb, placed_server.free_cxl_gb)
-            backend.place(placed_server, vm, cores, memory_gb, cxl_gb=cxl_gb)
-            outcome.placed_vms += 1
-            if placed_server.is_green:
-                outcome.green_placements += 1
-            if accountant is not None:
-                accountant.on_place(
-                    vm.arrival_hours, placed_server.sku, cores
-                )
-            if math.isfinite(vm.departure_hours):
-                heapq.heappush(
-                    departures,
-                    (vm.departure_hours, vm.vm_id, placed_server, cores),
-                )
-
-        # Drain remaining departures within the trace window for final
-        # snapshots.
-        end = start + trace.duration_hours
-        while departures and departures[0][0] <= end:
-            dep_time, vm_id, server, dep_cores = heapq.heappop(departures)
-            take_snapshots_until(dep_time)
-            backend.remove(server, vm_id)
-            if accountant is not None:
-                accountant.on_remove(dep_time, server.sku, dep_cores)
-            n_departures += 1
-        take_snapshots_until(end)
-        if accountant is not None:
-            outcome.operational = accountant.finalize(end)
-    finally:
-        # Flush even when a probe replay aborts on its first rejection
-        # (raise_on_reject), so sizing manifests account the work done.
-        if tel is not None:
-            deltas = {
-                key: value - counters_before.get(key, 0)
-                for key, value in backend.telemetry_counters().items()
-            }
-            deltas["alloc.replays"] = 1
-            deltas["alloc.placements"] = outcome.placed_vms
-            deltas["alloc.rejections"] = len(outcome.rejected_vms)
-            deltas["alloc.green_placements"] = outcome.green_placements
-            deltas["alloc.fallback_placements"] = outcome.fallback_placements
-            deltas["alloc.departures"] = n_departures
-            deltas["alloc.snapshots"] = n_snapshots
-            if accountant is not None:
-                deltas["carbon.accounted_events"] = (
-                    accountant.events - acct_events_before
-                )
-            tel.count_many(deltas)
-            tel.record_timer("alloc.replay", time.perf_counter() - t_start)
-    return outcome
-
-
 class _VmView:
     """Flyweight VM record for the streaming columnar replay.
 
@@ -777,21 +584,22 @@ def _merged_events(
 
     Returns ``(times, kinds, rows)`` where kind 1 is an arrival of trace
     row ``rows[i]`` and kind 0 the departure of that row's VM.  The
-    order reproduces the row loop's heap semantics exactly: a departure
-    is processed immediately before the first arrival at-or-after it
-    that follows the VM's own placement (heap-ordered by ``(time,
-    vm_id)`` among departures released together), and departures beyond
-    the last arrival drain only up to the trace window ``end``.
+    order is the replay's event semantics, the one every golden digest
+    was recorded under: a departure is processed immediately before the
+    first arrival at-or-after it that follows the VM's own placement
+    (ordered by ``(time, vm_id)`` among departures released together),
+    and departures beyond the last arrival drain only up to the trace
+    window ``end``.
     """
     arrivals = columns.arrival_hours
     n = columns.n
     if n and np.any(np.diff(arrivals) < 0):
         raise ConfigError(
-            "columnar replay requires a trace sorted by arrival time"
+            "allocation replay requires a trace sorted by arrival time"
         )
     departures = arrivals + columns.lifetime_hours
     row_index = np.arange(n, dtype=np.int64)
-    # The arrival the row loop would pop this departure in front of:
+    # The arrival this departure is released in front of:
     # first arrival at-or-after the departure time, but never before the
     # VM's own placement (ties between a VM's arrival and its departure
     # resolve to "placed first").
@@ -824,14 +632,20 @@ def _replay_events(
     chunk_events: int,
     accountant=None,
 ) -> SimOutcome:
-    """Streaming replay over chunked columnar event arrays.
+    """The replay loop: stream chunked columnar event arrays into ``backend``.
 
-    Behaviorally identical to :func:`_replay` (same backend calls in the
-    same order on the same float values) but driven by the precomputed
-    event stream of :func:`_merged_events`: per chunk, the needed column
-    slices are gathered with one fancy index and converted to plain
-    Python scalars via ``tolist``, so the hot loop never boxes numpy
-    scalars and never materializes ``VmRequest`` rows.
+    Driven by the precomputed event stream of :func:`_merged_events`:
+    per chunk, the needed column slices are gathered with one fancy
+    index and converted to plain Python scalars via ``tolist``, so the
+    hot loop never boxes numpy scalars and never materializes
+    ``VmRequest`` rows.  The snapshot grid anchors at the window start
+    (first arrival), so traces that begin mid-day observe the same grid
+    as their rebased twins.
+
+    ``backend`` is a :class:`~repro.allocation.index.PlacementEngine`,
+    a :class:`_ReferenceBackend`, or a wrapper with the same methods:
+    ``has_green``, ``choose_green``, ``choose_baseline``, ``place``,
+    ``remove``, ``snapshot`` and ``telemetry_counters``.
     """
     if chunk_events <= 0:
         raise ConfigError("chunk_events must be > 0")
@@ -839,6 +653,9 @@ def _replay_events(
     outcome = SimOutcome(cluster=cluster)
     has_green = backend.has_green()
 
+    # Telemetry: snapshot the backend's cumulative counters up front and
+    # fold the deltas (plus per-replay event tallies, accumulated as
+    # plain local ints) once at the end — zero per-event overhead.
     tel = telemetry.active()
     if tel is not None:
         counters_before = backend.telemetry_counters()
@@ -871,11 +688,12 @@ def _replay_events(
     active: Dict[int, Tuple[object, int]] = {}  # vm_id -> (server, cores)
     view = _VmView()
     try:
-        for start in range(0, ev_times.size, chunk_events):
+        for lo in range(0, ev_times.size, chunk_events):
             n_chunks += 1
-            rows = ev_rows[start:start + chunk_events]
-            times = ev_times[start:start + chunk_events].tolist()
-            kinds = ev_kinds[start:start + chunk_events].tolist()
+            hi = lo + chunk_events
+            rows = ev_rows[lo:hi]
+            times = ev_times[lo:hi].tolist()
+            kinds = ev_kinds[lo:hi].tolist()
             vm_ids = vm_id_col[rows].tolist()
             cores_l = cores_col[rows].tolist()
             mems = mem_col[rows].tolist()
@@ -932,6 +750,7 @@ def _replay_events(
                     if placed_server is not None:
                         cores, memory_gb = scaled_cores, scaled_mem
                 if placed_server is None:
+                    # Non-adopters, full-node VMs, and fungible fallback.
                     placed_server = backend.choose_baseline(
                         view, cores, memory_gb
                     )
@@ -945,6 +764,10 @@ def _replay_events(
                         )
                     outcome.rejected_vms.append(vm_id)
                     continue
+                # Pond tiering: on CXL-equipped servers, place the VM's
+                # predicted-untouched memory (or, for tolerant apps,
+                # everything) on the CXL pool, bounded by the pool's
+                # remaining capacity.
                 cxl_gb = 0.0
                 if (
                     placed_server.is_green
@@ -975,13 +798,14 @@ def _replay_events(
         if accountant is not None:
             outcome.operational = accountant.finalize(end)
     finally:
+        # Flush even when a probe replay aborts on its first rejection
+        # (raise_on_reject), so sizing manifests account the work done.
         if tel is not None:
             deltas = {
                 key: value - counters_before.get(key, 0)
                 for key, value in backend.telemetry_counters().items()
             }
             deltas["alloc.replays"] = 1
-            deltas["alloc.columnar_replays"] = 1
             deltas["alloc.event_chunks"] = n_chunks
             deltas["alloc.placements"] = outcome.placed_vms
             deltas["alloc.rejections"] = len(outcome.rejected_vms)
@@ -1007,14 +831,8 @@ def _build_one_backend(
     """Instantiate one flat placement backend for a resolved engine name."""
     if engine_name == "reference":
         return _ReferenceBackend(servers, scheduler)
-    if engine_name == "soa":
-        return SoAPlacementEngine(
-            servers, policy=scheduler.policy, track_stats=track_stats
-        )
-    return _IndexedBackend(
-        PlacementEngine(
-            servers, policy=scheduler.policy, track_stats=track_stats
-        )
+    return PlacementEngine(
+        servers, policy=scheduler.policy, track_stats=track_stats
     )
 
 
@@ -1057,31 +875,19 @@ def _build_backend(
     return _build_one_backend(engine_name, servers, scheduler, track_stats)
 
 
-def replay_columnar(
+def _replay_cluster(
     trace: VmTrace,
     cluster: ClusterSpec,
-    adoption: AdoptionPolicy = adopt_nothing,
-    snapshot_hours: float = 6.0,
-    raise_on_reject: bool = False,
-    scheduler: Optional[BestFitScheduler] = None,
-    engine: Optional[str] = None,
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
-    placement=None,
-    accountant=None,
+    adoption: AdoptionPolicy,
+    snapshot_hours: float,
+    raise_on_reject: bool,
+    scheduler: Optional[BestFitScheduler],
+    engine: Optional[str],
+    chunk_events: int,
+    placement,
+    accountant,
 ) -> SimOutcome:
-    """Streaming columnar replay of ``trace`` against ``cluster``.
-
-    The fleet-scale entry point: consumes :class:`ColumnarTrace` arrays
-    directly (including memory-mapped store loads) through the chunked
-    event-stream loop, with any placement engine.  Bit-identical to
-    :func:`simulate` on the same inputs for every engine and chunk size
-    — the equivalence suite pins ``outcome_digest`` across
-    {reference, indexed, soa} × chunk sizes.
-
-    ``chunk_events`` bounds how many merged events are gathered per
-    fancy-index batch (memory ~O(chunk), independent of trace size).
-    ``placement`` / ``accountant`` mirror :func:`simulate`.
-    """
+    """Build a fresh backend over ``cluster`` and replay ``trace`` on it."""
     if snapshot_hours <= 0:
         raise ConfigError("snapshot interval must be > 0")
     engine_name = resolve_engine(engine)
@@ -1105,6 +911,44 @@ def replay_columnar(
     )
 
 
+def replay_columnar(
+    trace: VmTrace,
+    cluster: ClusterSpec,
+    adoption: AdoptionPolicy = adopt_nothing,
+    snapshot_hours: float = 6.0,
+    raise_on_reject: bool = False,
+    scheduler: Optional[BestFitScheduler] = None,
+    engine: Optional[str] = None,
+    chunk_events: int = DEFAULT_CHUNK_EVENTS,
+    placement=None,
+    accountant=None,
+) -> SimOutcome:
+    """:func:`simulate` with an explicit event-chunk size.
+
+    The fleet driver's entry point: consumes :class:`ColumnarTrace`
+    arrays directly (including memory-mapped store loads).  Outcomes
+    are bit-identical for every engine and chunk size — the equivalence
+    suite pins ``outcome_digest`` across {indexed, reference} × chunk
+    sizes.
+
+    ``chunk_events`` bounds how many merged events are gathered per
+    fancy-index batch (memory ~O(chunk), independent of trace size).
+    The other arguments mirror :func:`simulate`.
+    """
+    return _replay_cluster(
+        trace,
+        cluster,
+        adoption,
+        snapshot_hours,
+        raise_on_reject,
+        scheduler,
+        engine,
+        chunk_events,
+        placement,
+        accountant,
+    )
+
+
 def replay_on_engine(
     trace: VmTrace,
     cluster: ClusterSpec,
@@ -1112,47 +956,27 @@ def replay_on_engine(
     adoption: AdoptionPolicy = adopt_nothing,
     snapshot_hours: float = 1e9,
     raise_on_reject: bool = False,
-    chunk_events: Optional[int] = None,
     accountant=None,
 ) -> SimOutcome:
     """Replay a trace against a caller-prepared placement engine.
 
     This is the probe-reuse entry point for sizing searches: the caller
-    owns the engine (a :class:`PlacementEngine` or
-    :class:`SoAPlacementEngine`), adjusts its server set between probes,
+    owns the engine (a :class:`PlacementEngine`, or any backend with
+    the same replay methods), adjusts its server set between probes,
     and calls its ``reset`` before each replay.  ``cluster`` only
     describes the configuration for the outcome record; the servers
     actually used are the engine's.
-
-    ``chunk_events`` switches the drive loop: ``None`` (default) walks
-    ``VmRequest`` rows; an integer streams the chunked columnar event
-    arrays instead — bit-identical, but never materializing rows.
     """
     if snapshot_hours <= 0:
         raise ConfigError("snapshot interval must be > 0")
-    backend = (
-        _IndexedBackend(engine)
-        if isinstance(engine, PlacementEngine)
-        else engine
-    )
-    if chunk_events is None:
-        return _replay(
-            trace,
-            cluster,
-            backend,
-            adoption,
-            snapshot_hours,
-            raise_on_reject,
-            accountant=accountant,
-        )
     return _replay_events(
         trace,
         cluster,
-        backend,
+        engine,
         adoption,
         snapshot_hours,
         raise_on_reject,
-        chunk_events,
+        DEFAULT_CHUNK_EVENTS,
         accountant=accountant,
     )
 
@@ -1200,13 +1024,11 @@ def simulate(
         scheduler: Placement heuristic (default: production best-fit);
             pass a first-fit/worst-fit scheduler for ablations.  Both
             backends honor the scheduler's policy.
-        engine: ``"indexed"`` (default), ``"reference"``, or ``"soa"``;
-            ``None`` falls back to the ``REPRO_ALLOC_ENGINE`` environment
-            variable, then the indexed default.  All backends are
+        engine: ``"indexed"`` (default) or ``"reference"``; ``None``
+            falls back to the ``REPRO_ALLOC_ENGINE`` environment
+            variable, then the indexed default.  Both backends are
             bit-identical in outcome; the reference scan exists as the
-            equivalence oracle, the SoA engine rides the streaming
-            columnar replay (:func:`replay_columnar`) for fleet-scale
-            runs.
+            equivalence oracle.
         placement: Emission-aware policy — ``None`` / ``"blind"`` / a
             :class:`PlacementPolicy`.  Blind resolves to the exact
             pre-policy code path; ``carbon_aware`` (built via
@@ -1217,35 +1039,21 @@ def simulate(
             its grid signal and the exact operational-carbon report
             lands on ``outcome.operational``.  Attaching an accountant
             never changes placement behavior or ``outcome_digest``.
+
+    Raises:
+        ConfigError: The trace is not sorted by arrival time, or an
+            argument is invalid.
+        CapacityError: A VM was rejected and ``raise_on_reject`` is set.
     """
-    if snapshot_hours <= 0:
-        raise ConfigError("snapshot interval must be > 0")
-    engine_name = resolve_engine(engine)
-    scheduler = scheduler or BestFitScheduler()
-    backend = _build_backend(
-        engine_name,
-        cluster.build_servers(),
-        scheduler,
-        _wants_stats(trace, snapshot_hours),
-        placement=resolve_placement(placement),
-    )
-    if engine_name == "soa":
-        return _replay_events(
-            trace,
-            cluster,
-            backend,
-            adoption,
-            snapshot_hours,
-            raise_on_reject,
-            DEFAULT_CHUNK_EVENTS,
-            accountant=accountant,
-        )
-    return _replay(
+    return _replay_cluster(
         trace,
         cluster,
-        backend,
         adoption,
         snapshot_hours,
         raise_on_reject,
-        accountant=accountant,
+        scheduler,
+        engine,
+        DEFAULT_CHUNK_EVENTS,
+        placement,
+        accountant,
     )

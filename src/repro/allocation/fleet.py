@@ -12,10 +12,10 @@ shard results (integer fixed-point snapshot sums are associative, so
 merge order cannot change a single bit).
 
 Cache/journal keys cover the generation inputs, the adoption policy's
-qualified name, and the snapshot interval — **not** the engine or chunk
-size, because every engine and chunking is bit-identical by contract
-(the equivalence suite pins this), so a journal written with one
-backend resumes correctly under another.
+qualified name, and the snapshot interval — **not** the engine, because
+every engine is bit-identical by contract (the equivalence suite pins
+this), so a journal written with one backend resumes correctly under
+another.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .cluster import (
     CARBON_PLACEMENT_POLICIES,
     AdoptionPolicy,
     ClusterSpec,
-    DEFAULT_CHUNK_EVENTS,
     SimOutcome,
     SnapshotStats,
     adopt_nothing,
@@ -229,7 +228,6 @@ class _ClusterJob:
     task: ClusterTask
     adoption: AdoptionPolicy
     engine: Optional[str]
-    chunk_events: int
     snapshot_hours: float
     mmap: bool
     placement_policy: str = "blind"
@@ -237,7 +235,7 @@ class _ClusterJob:
 
 
 def _job_key(job: _ClusterJob) -> str:
-    """Engine/chunk-independent cache key (outcomes are bit-identical)."""
+    """Engine-independent cache key (outcomes are bit-identical)."""
     return content_key(
         FLEET_KEY_VERSION,
         job.task.name,
@@ -294,7 +292,6 @@ def _run_cluster(job: _ClusterJob) -> SimOutcome:
         job.adoption,
         snapshot_hours=job.snapshot_hours,
         engine=job.engine,
-        chunk_events=job.chunk_events,
         placement=placement,
         accountant=accountant,
     )
@@ -305,7 +302,6 @@ def simulate_fleet(
     adoption: AdoptionPolicy = adopt_nothing,
     snapshot_hours: float = 6.0,
     engine: Optional[str] = None,
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
     mmap: bool = True,
     jobs: Optional[int] = None,
     cache: Optional[DiskCache] = None,
@@ -324,11 +320,11 @@ def simulate_fleet(
     survivors only, and ``feasible`` is False).
 
     ``adoption`` must be picklable (a module-level function or a policy
-    object) so workers can receive it.  ``engine``/``chunk_events``
-    select the replay backend per the usual resolution order but are
-    deliberately *excluded* from the cache key — outcomes are
-    bit-identical across backends by contract, so resumed journals stay
-    valid across backend switches.
+    object) so workers can receive it.  ``engine`` selects the replay
+    backend per the usual resolution order but is deliberately
+    *excluded* from the cache key — outcomes are bit-identical across
+    backends by contract, so resumed journals stay valid across backend
+    switches.
 
     The merged aggregates are reconciled against the shard outcomes
     before returning (raises :class:`SimulationError` on any bit of
@@ -363,7 +359,6 @@ def simulate_fleet(
             task=task,
             adoption=adoption,
             engine=engine_name,
-            chunk_events=chunk_events,
             snapshot_hours=snapshot_hours,
             mmap=mmap,
             placement_policy=placement_policy,

@@ -272,6 +272,10 @@ class PlacementEngine:
     by applying count deltas instead of rebuilding the cluster per probe,
     and :meth:`reset` restores every touched server to its pristine state
     between probes.
+
+    The engine is itself a replay backend: besides ``choose_*`` /
+    ``place`` / ``remove`` it answers ``has_green``, ``snapshot`` and
+    ``telemetry_counters``, so the replay loop drives it directly.
     """
 
     def __init__(
@@ -568,11 +572,17 @@ class PlacementEngine:
             else:
                 del bucket[den]
 
-    def merge_stats(self, green_stats, baseline_stats) -> None:
-        """Fold the current aggregates into per-outcome snapshot stats."""
+    # -- replay backend protocol ----------------------------------------------
+
+    def has_green(self) -> bool:
+        """Whether the engine currently holds any GreenSKU server."""
+        return self.green_count > 0
+
+    def snapshot(self, outcome) -> None:
+        """Fold the current aggregates into ``outcome``'s snapshot stats."""
         self.stat_snapshot_merges += 1
-        green_stats.merge_aggregate(self.green_agg)
-        baseline_stats.merge_aggregate(self.base_agg)
+        outcome.green_stats.merge_aggregate(self.green_agg)
+        outcome.baseline_stats.merge_aggregate(self.base_agg)
 
     def bucket_probes(self) -> int:
         """Total buckets/shape groups examined across every pool view."""
@@ -581,3 +591,13 @@ class PlacementEngine:
             + self.base_all.probes
             + sum(view.probes for view in self.base_by_gen.values())
         )
+
+    def telemetry_counters(self) -> Dict[str, int]:
+        """Cumulative work counters (the replay loop folds deltas)."""
+        return {
+            "engine.queries": self.stat_queries,
+            "engine.bucket_probes": self.bucket_probes(),
+            "engine.places": self.stat_places,
+            "engine.removes": self.stat_removes,
+            "engine.snapshot_merges": self.stat_snapshot_merges,
+        }

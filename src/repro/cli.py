@@ -27,9 +27,10 @@ counters, timers, and phase spans (see ``docs/observability.md``);
 dispatch backend for sim-mode experiments (default: the
 ``REPRO_QUEUEING`` env var, else the vectorized path; ``reference`` is
 the scalar oracle, bit-identical but slower);
-``--alloc-engine {indexed,reference,soa}`` selects the placement
-backend for allocation replays (default: the ``REPRO_ALLOC_ENGINE``
-env var, else indexed; all backends are bit-identical in outcome);
+``--alloc-engine {indexed,reference}`` selects the placement backend
+for allocation replays (default: the ``REPRO_ALLOC_ENGINE`` env var,
+else indexed; ``reference`` is the scanning oracle, bit-identical in
+outcome but slower);
 ``--trace-backend {synthetic,azure}`` selects where trace-suite
 experiments get their workload: the synthetic generator (default) or
 ingested Azure vmtable traces (``REPRO_AZURE_TRACE_DIR``, falling back
@@ -670,10 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--alloc-engine", default=None, choices=ENGINES,
         help="placement backend for allocation replays: 'indexed' "
-             "(default), the scalar 'reference' oracle, or the "
-             "fleet-scale 'soa' arrays (default: the "
-             "REPRO_ALLOC_ENGINE env var, else indexed; all backends "
-             "are bit-identical in outcome)",
+             "(default) or the scanning 'reference' oracle (default: "
+             "the REPRO_ALLOC_ENGINE env var, else indexed; both are "
+             "bit-identical in outcome)",
     )
     parser.add_argument(
         "--trace-backend", default=None, choices=TRACE_BACKENDS,

@@ -29,7 +29,6 @@ import numpy as np
 from ..allocation.cluster import (
     AdoptionPolicy,
     ClusterSpec,
-    _IndexedBackend,
     _ReferenceBackend,
     adopt_nothing,
     replay_on_engine,
@@ -223,8 +222,8 @@ def _prober(
 ) -> Callable[..., bool]:
     """Feasibility of ``trace`` on ``skus`` at given per-slot counts.
 
-    The reference engine rebuilds the cluster per probe; every other
-    engine name probes on one reused :class:`_EngineProber`.
+    The reference engine rebuilds the cluster per probe; the indexed
+    engine probes on one reused :class:`_EngineProber`.
     """
     if resolve_engine() != "reference":
         return _EngineProber(trace, skus, adoption)
@@ -259,11 +258,8 @@ class _OnDemandPool:
             )
         if resolve_engine() == "reference":
             backend = _ReferenceBackend([], BestFitScheduler(policy))
-            self._add_server = backend.add_server
         else:
-            engine = PlacementEngine(policy=policy, track_stats=False)
-            backend = _IndexedBackend(engine)
-            self._add_server = engine.add_server
+            backend = PlacementEngine(policy=policy, track_stats=False)
         self._backend = backend
         self.place = backend.place
         self.remove = backend.remove
@@ -294,7 +290,7 @@ class _OnDemandPool:
                     f"VM {vm.vm_id} needs more than {MAX_SERVERS} "
                     f"{self._sku.name} servers"
                 )
-            self._add_server(Server(self.opened, self._sku))
+            self._backend.add_server(Server(self.opened, self._sku))
             self.opened += 1
             server = choose(vm, cores, memory_gb)
             if server is None:

@@ -135,7 +135,7 @@ class TestAccounting:
             ("aware", carbon_aware_policy(diurnal_signal())),
         ):
             outcome = _run(
-                _divergent_cluster(), "soa",
+                _divergent_cluster(), "indexed",
                 placement=placement,
                 accountant=CarbonAccountant(diurnal_signal()),
             )

@@ -130,7 +130,7 @@ class TestFleetAggregation:
             engine: simulate_fleet(
                 spec, adopt_everything, snapshot_hours=4.0, engine=engine
             ).digest()
-            for engine in ("reference", "indexed", "soa")
+            for engine in ("reference", "indexed")
         }
         assert len(set(digests.values())) == 1, digests
 
@@ -208,12 +208,12 @@ class TestFleetResilience:
         )
 
     def test_journal_survives_engine_switch(self, tmp_path):
-        """Engine is excluded from the key: a soa journal resumes under
-        the reference backend without recomputing a single shard."""
+        """Engine is excluded from the key: an indexed journal resumes
+        under the reference backend without recomputing a single shard."""
         spec = _spec(3)
         journal = CheckpointJournal(tmp_path / "journal")
         with activated(ResiliencePolicy(journal=journal)):
-            first = simulate_fleet(spec, adopt_everything, engine="soa")
+            first = simulate_fleet(spec, adopt_everything, engine="indexed")
         with telemetry.capture() as tel:
             with activated(ResiliencePolicy(journal=journal)):
                 second = simulate_fleet(

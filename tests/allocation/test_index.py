@@ -19,6 +19,7 @@ import pytest
 
 from repro.allocation.cluster import (
     ClusterSpec,
+    SimOutcome,
     adopt_everything,
     adopt_nothing,
     outcome_digest,
@@ -430,6 +431,114 @@ class TestAdversarialChurn:
         engine.place(server, make_vm(1, 4, 16.0), 4, 16.0)
         with pytest.raises(SimulationError):
             engine.remove_server(0)
+
+
+class TestPlacementRules:
+    """Engine-level rule checks on a mixed three-SKU cluster."""
+
+    SPEC = ClusterSpec.of(
+        (baseline_gen3(), 10), (baseline_gen2(), 6), (greensku_full(), 6)
+    )
+
+    def _engine(self, track_stats=False):
+        return PlacementEngine(
+            self.SPEC.build_servers(), track_stats=track_stats
+        )
+
+    def test_duplicate_vm_rejected(self):
+        engine = self._engine()
+        vm = make_vm(1, 2, 8.0)
+        server = engine.choose_baseline(vm, vm.cores, vm.memory_gb)
+        engine.place(server, vm, vm.cores, vm.memory_gb)
+        with pytest.raises(SimulationError, match="already on server"):
+            engine.place(server, vm, vm.cores, vm.memory_gb)
+
+    def test_overfull_placement_rejected(self):
+        engine = self._engine()
+        vm = make_vm(1, 10_000, 8.0)
+        with pytest.raises(SimulationError, match="does not fit"):
+            engine.place(engine.servers[0], vm, vm.cores, vm.memory_gb)
+
+    def test_remove_unknown_vm_rejected(self):
+        engine = self._engine()
+        with pytest.raises(SimulationError, match="not on server"):
+            engine.remove(engine.servers[0], 42)
+
+    def test_nonpositive_request_rejected(self):
+        engine = self._engine()
+        with pytest.raises(ConfigError, match="positive"):
+            engine.choose_baseline(make_vm(1, 2, 8.0), 0, 8.0)
+        with pytest.raises(ConfigError, match="positive"):
+            engine.choose_green(make_vm(1, 2, 8.0), 2, 0.0)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ConfigError, match="unknown placement policy"):
+            PlacementEngine(policy="random")
+
+    def test_full_node_never_green(self):
+        engine = self._engine()
+        vm = make_vm(1, 64, 512.0, full_node=True)
+        assert engine.choose_green(vm, vm.cores, vm.memory_gb) is None
+
+    def test_empty_server_dust_excluded_from_snapshots(self):
+        """Place/remove cycles must not leak float dust into snapshots.
+
+        Repeated add/subtract of unlike floats leaves tiny nonzero
+        residue on a now-empty server; the reference snapshot walk skips
+        empty servers, so the engine's aggregate must drop them too.
+        """
+        engine = self._engine(track_stats=True)
+        vm_id = 0
+        for round_ in range(8):
+            placed = []
+            for k in range(3):
+                memory_gb = 0.1 + 0.7 * k + round_
+                vm = make_vm(vm_id, 1, memory_gb)
+                server = engine.choose_baseline(vm, 1, memory_gb)
+                engine.place(server, vm, 1, memory_gb)
+                placed.append((server, vm_id))
+                vm_id += 1
+            for server, placed_id in placed:
+                engine.remove(server, placed_id)
+        assert engine.base_agg.count == 0
+        assert all(not bucket for bucket in engine.base_agg.sums.values())
+        outcome = SimOutcome(cluster=self.SPEC)
+        engine.snapshot(outcome)
+        assert outcome.baseline_stats.samples == 0
+        assert outcome.baseline_stats.core_density_sum == 0.0
+
+    def test_reset_reproduces_exactly(self):
+        trace = generate_trace(
+            4, TraceParams(duration_days=2.0, mean_concurrent_vms=120)
+        )
+        engine = self._engine(track_stats=True)
+        first = replay_on_engine(
+            trace, self.SPEC, engine, adopt_everything, snapshot_hours=5.0
+        )
+        engine.reset()
+        again = replay_on_engine(
+            trace, self.SPEC, engine, adopt_everything, snapshot_hours=5.0
+        )
+        assert first.green_placements > 0
+        assert first.green_stats.samples > 0
+        assert outcome_digest(first) == outcome_digest(again)
+
+    def test_backend_protocol(self):
+        """has_green / telemetry_counters answer from the engine itself."""
+        engine = self._engine()
+        assert engine.has_green()
+        assert not PlacementEngine([Server(0, baseline_gen3())]).has_green()
+        vm = make_vm(1, 2, 8.0)
+        server = engine.choose_baseline(vm, vm.cores, vm.memory_gb)
+        engine.place(server, vm, vm.cores, vm.memory_gb)
+        engine.remove(server, vm.vm_id)
+        engine.snapshot(SimOutcome(cluster=self.SPEC))
+        counters = engine.telemetry_counters()
+        assert counters["engine.queries"] == 1
+        assert counters["engine.places"] == 1
+        assert counters["engine.removes"] == 1
+        assert counters["engine.snapshot_merges"] == 1
+        assert counters["engine.bucket_probes"] == engine.bucket_probes()
 
 
 class TestProbeReuse:

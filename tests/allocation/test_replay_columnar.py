@@ -1,4 +1,4 @@
-"""Streaming columnar replay: chunked-vs-row equivalence, golden digests."""
+"""Streaming columnar replay: chunk-size and engine equivalence, digests."""
 
 import pytest
 
@@ -15,6 +15,7 @@ from repro.allocation.columnar import ColumnarTrace
 from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.core import telemetry
 from repro.core.errors import ConfigError
+from repro.gsf.sizing import right_size
 from repro.hardware.sku import baseline_gen2, baseline_gen3, greensku_full
 
 PARAMS = TraceParams(duration_days=2.0, mean_concurrent_vms=120)
@@ -41,7 +42,7 @@ def _tiny_cluster():
 class TestChunkedVsRowEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_golden_digest_across_engines_and_chunks(self, seed):
-        """Row-based reference digest == every engine × chunk size."""
+        """``simulate`` on the reference oracle == every engine × chunk."""
         trace = generate_trace(seed, PARAMS)
         cluster = _cluster()
         golden = outcome_digest(
@@ -88,6 +89,13 @@ class TestChunkedVsRowEquivalence:
         assert trace._rows is None
         replay_columnar(trace, _cluster(), adopt_everything)
         assert trace._rows is None
+        # Every entry point streams the same columns: ``simulate`` on
+        # both engines and the one-pass sizing replay too.
+        for engine in ENGINES:
+            simulate(trace, _cluster(), adopt_everything, engine=engine)
+            assert trace._rows is None, engine
+        assert right_size(trace, baseline_gen3()) > 0
+        assert trace._rows is None
 
 
 class TestReplayColumnarApi:
@@ -110,6 +118,18 @@ class TestReplayColumnarApi:
         with pytest.raises(ConfigError, match="sorted by arrival"):
             replay_columnar(bad, _cluster())
 
+    def test_simulate_rejects_unsorted_row_trace(self):
+        """A row-built trace out of arrival order is refused, not replayed.
+
+        The grid would otherwise anchor at the first row rather than the
+        earliest arrival, and departures would release out of order.
+        """
+        rows = generate_trace(1, PARAMS).vms
+        bad = VmTrace(name="reversed", params=PARAMS, vms=rows[::-1])
+        for engine in ENGINES:
+            with pytest.raises(ConfigError, match="sorted by arrival"):
+                simulate(bad, _cluster(), engine=engine)
+
     def test_bad_snapshot_interval_rejected(self):
         trace = generate_trace(1, PARAMS)
         with pytest.raises(ConfigError, match="snapshot interval"):
@@ -126,5 +146,5 @@ class TestReplayColumnarApi:
             replay_columnar(
                 trace, _cluster(), adopt_everything, chunk_events=64
             )
-        assert tel.counters["alloc.columnar_replays"] == 1
+        assert tel.counters["alloc.replays"] == 1
         assert tel.counters["alloc.event_chunks"] >= 2

@@ -129,7 +129,7 @@ class TestSearchEfficiency:
         """
         calls = collections.Counter()
         real_simulate = sizing_module.simulate
-        real_replay = sizing_module.replay_on_engine
+        real_replay_on_engine = sizing_module.replay_on_engine
 
         def key_of(trace, cluster):
             return (
@@ -141,12 +141,14 @@ class TestSearchEfficiency:
             calls[key_of(trace, cluster)] += 1
             return real_simulate(trace, cluster, **kwargs)
 
-        def counting_replay(trace, cluster, engine, **kwargs):
+        def counting_replay_on_engine(trace, cluster, engine, **kwargs):
             calls[key_of(trace, cluster)] += 1
-            return real_replay(trace, cluster, engine, **kwargs)
+            return real_replay_on_engine(trace, cluster, engine, **kwargs)
 
         monkeypatch.setattr(sizing_module, "simulate", counting_simulate)
-        monkeypatch.setattr(sizing_module, "replay_on_engine", counting_replay)
+        monkeypatch.setattr(
+            sizing_module, "replay_on_engine", counting_replay_on_engine
+        )
         return calls
 
     def test_right_size_never_resimulates(

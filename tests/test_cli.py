@@ -184,8 +184,8 @@ class TestAllocEngine:
             return orig(args, argv)
 
         monkeypatch.setitem(main.__globals__, "_run_command", spy)
-        assert main(["--alloc-engine", "soa", "run", "table4"]) == 0
-        assert seen["engine"] == "soa"
+        assert main(["--alloc-engine", "indexed", "run", "table4"]) == 0
+        assert seen["engine"] == "indexed"
         # The override is scoped to the invocation.
         assert ENGINE_ENV not in os.environ
 
@@ -195,7 +195,7 @@ class TestAllocEngine:
         from repro.allocation.cluster import ENGINE_ENV
 
         monkeypatch.setenv(ENGINE_ENV, "reference")
-        assert main(["--alloc-engine", "soa", "run", "table4"]) == 0
+        assert main(["--alloc-engine", "indexed", "run", "table4"]) == 0
         assert os.environ[ENGINE_ENV] == "reference"
 
     def test_unknown_engine_rejected(self):
